@@ -17,6 +17,7 @@
 #include "sim/cache_set.hpp"
 #include "sim/hierarchy.hpp"
 #include "sim/random.hpp"
+#include "sim/replacement.hpp"
 #include "spectre/transient_core.hpp"
 #include "spectre/victim.hpp"
 

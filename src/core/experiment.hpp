@@ -14,8 +14,8 @@
  * Registrations self-register via static Registrar objects (see the
  * LRULEAK_REGISTER_EXPERIMENT macro), so adding an experiment is one
  * translation unit under src/experiments/ and nothing else: the CLI,
- * `run-all`, the catalog tests and the bench wrappers all pick it up
- * through Registry::instance().
+ * `run-all` and the catalog tests all pick it up through
+ * Registry::instance().
  */
 
 #ifndef LRULEAK_CORE_EXPERIMENT_HPP
@@ -102,13 +102,6 @@ struct Registrar
 void runExperiment(const Experiment &experiment,
                    const std::map<std::string, std::string> &overrides,
                    ResultSink &sink);
-
-/**
- * Bench-wrapper entry point: look @p name up in the registry and run it
- * with default parameters, rendering ASCII tables to stdout.  Returns a
- * process exit code (0 on success).
- */
-int runRegisteredExperimentMain(const std::string &name);
 
 } // namespace lruleak::core
 

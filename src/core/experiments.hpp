@@ -1,10 +1,10 @@
 /**
  * @file
- * Shared experiment runners behind the bench binaries.
+ * Shared experiment runners behind the registered experiments.
  *
  * Each function implements the measurement logic of one paper artifact
- * (the benches then only sweep parameters and print).  See DESIGN.md for
- * the experiment-to-module map.
+ * (the experiments then only sweep parameters and print).  See
+ * DESIGN.md for the experiment-to-module map.
  */
 
 #ifndef LRULEAK_CORE_EXPERIMENTS_HPP
@@ -17,7 +17,6 @@
 #include "channel/channel_factory.hpp"
 #include "channel/session.hpp"
 #include "core/histogram.hpp"
-#include "sim/replacement.hpp"
 #include "timing/uarch.hpp"
 #include "workload/cpu_model.hpp"
 

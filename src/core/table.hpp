@@ -1,6 +1,6 @@
 /**
  * @file
- * Plain-text table and series rendering for the bench binaries, so every
+ * Plain-text table and series rendering for the experiments, so every
  * reproduced table/figure prints in a shape directly comparable to the
  * paper.
  */

@@ -3,11 +3,14 @@
  * Ablation as a registered experiment: the other secure caches of
  * Section IX-B — DAWG-style way partitioning (partitions the Tree-PLRU
  * state: channel dead) versus the Random Fill cache (hits still update
- * the LRU state: channel alive), measured at the protocol level.
+ * the LRU state: channel alive), measured at the protocol level on a
+ * sim::Cache running each SecureMode.
  */
 
+#include <utility>
+
 #include "experiments/common.hpp"
-#include "sim/secure_caches.hpp"
+#include "sim/cache.hpp"
 
 namespace lruleak::experiments {
 
@@ -18,42 +21,57 @@ using namespace lruleak::sim;
 
 constexpr Addr kSenderBase = 0x1000'0000'0000ULL;
 constexpr Addr kReceiverBase = 0x2000'0000'0000ULL;
+constexpr ThreadId kSender = 0;
+constexpr ThreadId kReceiver = 1;
 
 MemRef
 mkLine(const AddressLayout &layout, std::uint32_t set, std::uint32_t i,
-       Addr base)
+       Addr base, ThreadId thread = kSender)
 {
     const Addr a = lineInSet(layout, set, i, base);
-    return MemRef{a, a, 0, false};
+    return MemRef{a, a, thread, false};
 }
 
 /**
- * One Algorithm 2 style probe against a DAWG cache: returns whether the
- * receiver's line 0 survived its decode phase.
+ * One Algorithm 2 style probe against a DAWG L1D (two domains: the
+ * sender's thread in one, the receiver's in the other): returns whether
+ * the receiver's line 0 survived its decode phase.
  */
 bool
 dawgProbe(bool sender_touches)
 {
-    DawgCache cache;
+    CacheConfig config = CacheConfig::intelL1d();
+    config.secure = SecureMode::Dawg;
+    Cache cache(config);
     const AddressLayout &layout = cache.layout();
     const auto sender_line = mkLine(layout, 7, 0, kSenderBase);
-    cache.access(sender_line, 0);
+    cache.access(sender_line);
     for (std::uint32_t i = 0; i < 4; ++i)
-        cache.access(mkLine(layout, 7, i, kReceiverBase), 1);
+        cache.access(mkLine(layout, 7, i, kReceiverBase, kReceiver));
     if (sender_touches)
-        cache.access(sender_line, 0);
+        cache.access(sender_line);
     for (std::uint32_t i = 4; i < 8; ++i)
-        cache.access(mkLine(layout, 7, i, kReceiverBase), 1);
-    return cache.contains(mkLine(layout, 7, 0, kReceiverBase), 1);
+        cache.access(mkLine(layout, 7, i, kReceiverBase, kReceiver));
+    return cache.contains(mkLine(layout, 7, 0, kReceiverBase, kReceiver));
 }
 
-/** Same probe against the Random Fill cache's replacement state. */
+/**
+ * Same question against a Random Fill L1D: does the sender's hit leave
+ * set 13's replacement state different from a run without it?  Later
+ * neighbour fills of the warm-up can evict an earlier line of the
+ * eight, so the sender touches the first line still resident, and only
+ * a real hit counts.
+ */
 bool
 randomFillStateDiffers(std::uint64_t seed)
 {
     auto state = [seed](bool sender_touches) {
-        RandomFillCache cache(CacheConfig::intelL1d(), 64, seed);
-        const AddressLayout layout(64, 64);
+        CacheConfig config = CacheConfig::intelL1d();
+        config.secure = SecureMode::RandomFill;
+        config.fill_window = 64;
+        config.seed = seed;
+        Cache cache(config);
+        const AddressLayout &layout = cache.layout();
         // Seed lines 0..7 of set 13 via neighbour fills.
         for (std::uint32_t i = 0; i < 8; ++i) {
             const auto want = mkLine(layout, 13, i, kSenderBase);
@@ -64,11 +82,18 @@ randomFillStateDiffers(std::uint64_t seed)
         }
         for (std::uint32_t i = 0; i < 8; ++i)
             cache.access(mkLine(layout, 13, i, kSenderBase));
-        if (sender_touches)
-            cache.access(mkLine(layout, 13, 0, kSenderBase));
-        return cache.replacementState(13);
+        bool hit = false;
+        for (std::uint32_t i = 0; sender_touches && i < 8; ++i) {
+            const auto line = mkLine(layout, 13, i, kSenderBase);
+            if (cache.contains(line)) {
+                hit = cache.access(line).hit;
+                break;
+            }
+        }
+        return std::pair{hit, cache.cacheSet(13).repl()};
     };
-    return state(true) != state(false);
+    const auto [hit, touched] = state(true);
+    return hit && touched != state(false).second;
 }
 
 class AblationSecureCaches final : public Experiment

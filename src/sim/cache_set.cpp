@@ -17,12 +17,6 @@ CacheSet::CacheSet(std::uint32_t ways, ReplState state, PlMode pl_mode,
 {
 }
 
-CacheSet::CacheSet(std::uint32_t ways,
-                   std::unique_ptr<ReplacementPolicy> policy, PlMode pl_mode)
-    : CacheSet(ways, policy->state(), pl_mode)
-{
-}
-
 std::optional<std::uint32_t>
 CacheSet::probe(Addr tag) const
 {

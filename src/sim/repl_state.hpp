@@ -37,7 +37,8 @@
  *
  * The legacy virtual `sim::ReplacementPolicy` hierarchy still exists
  * (see sim/replacement.hpp) as the white-box-testable reference
- * implementation and migration adapter; new code should use ReplState.
+ * implementation the tests and the `lruleak bench` legacy lane use; the
+ * library itself runs on ReplState only.
  */
 
 #ifndef LRULEAK_SIM_REPL_STATE_HPP

@@ -11,19 +11,17 @@
  *     seed's independent vector-based implementations, so the
  *     randomized equivalence tests (tests/test_repl_state.cpp) prove
  *     ReplState bit-for-bit against genuinely separate code — not
- *     against itself.
+ *     against itself.  `ReplacementPolicy::state()` snapshots a policy
+ *     into the equivalent ReplState so those tests can also continue
+ *     both sides in lockstep from a mid-trace state.
  *  2. **White-box tests.**  The per-policy accessors (TrueLru::age,
  *     TreePlru::nodeBit, BitPlru::mruBit, Srrip::rrpv) remain available
  *     to the hand-computed transition tests.
- *  3. **Migration adapter.**  `ReplacementPolicy::state()` snapshots any
- *     policy into the equivalent ReplState, and `ReplStatePolicy` wraps
- *     a ReplState behind the virtual interface, so code still written
- *     against this interface keeps working while it migrates.
+ *  3. **The `lruleak bench` legacy lane**, which measures the seed's
+ *     virtual-dispatch code shape against the value core.
  *
- * Deprecation path: new code should construct `ReplState` directly (or
- * a `CacheSet`, which owns one).  Once nothing but the tests and the
- * `lruleak bench` legacy lane consume this interface, it moves into the
- * test/bench support code.
+ * Only src/core/bench.cpp and the tests include this header; library
+ * code uses `ReplState` (or a `CacheSet`, which owns one).
  *
  * The victim query contract (fixed from the seed, which claimed
  * "does not modify state" while RandomRepl advanced its RNG and Srrip
@@ -94,8 +92,8 @@ class ReplacementPolicy
 
     /**
      * Snapshot this policy's current state as the equivalent
-     * value-semantic ReplState — the bridge old call sites use to feed
-     * the new core.
+     * value-semantic ReplState (the equivalence tests continue both
+     * in lockstep from the snapshot).
      */
     virtual ReplState state() const = 0;
 
@@ -122,40 +120,6 @@ class ReplacementPolicy
 std::unique_ptr<ReplacementPolicy>
 makeReplacementPolicy(ReplPolicyKind kind, std::uint32_t ways,
                       std::uint64_t seed = 0);
-
-/**
- * Generic adapter: any ReplState behind the virtual interface, for code
- * that still wants runtime polymorphism over the value-semantic core.
- */
-class ReplStatePolicy : public ReplacementPolicy
-{
-  public:
-    explicit ReplStatePolicy(ReplState state)
-        : ReplacementPolicy(state.ways()), state_(std::move(state))
-    {}
-
-    void touch(std::uint32_t way) override { state_.touch(way); }
-    void onFill(std::uint32_t way) override { state_.onFill(way); }
-    std::uint32_t victim() const override { return state_.victim(); }
-    std::uint32_t selectVictim() override
-    {
-        return state_.selectVictim();
-    }
-    void reset() override { state_.reset(); }
-    std::vector<std::uint8_t> stateBits() const override
-    {
-        return state_.stateBits();
-    }
-    ReplPolicyKind kind() const override { return state_.kind(); }
-    std::unique_ptr<ReplacementPolicy> clone() const override
-    {
-        return std::make_unique<ReplStatePolicy>(*this);
-    }
-    ReplState state() const override { return state_; }
-
-  private:
-    ReplState state_;
-};
 
 /**
  * Exact LRU: maintains the full recency order of all ways.

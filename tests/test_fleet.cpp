@@ -20,6 +20,8 @@
 #include <set>
 #include <sstream>
 
+#include <unistd.h>
+
 #include "core/experiment.hpp"
 #include "core/fleet.hpp"
 #include "core/result_cache.hpp"
@@ -29,6 +31,19 @@ using namespace lruleak;
 using namespace lruleak::core;
 
 namespace {
+
+/**
+ * A scratch directory private to this process.  ctest runs every test
+ * in its own process, so under `ctest -jN` a fixed path would be shared
+ * (and deleted) by tests running side by side.
+ */
+std::string
+processTempDir(const std::string &leaf)
+{
+    return (std::filesystem::path(testing::TempDir()) /
+            (leaf + "-" + std::to_string(getpid())))
+        .string();
+}
 
 // ---------------------------------------------------------------- shards
 
@@ -173,9 +188,7 @@ TEST(ResultCache, KeySerializationIsUnambiguous)
 
 TEST(ResultCache, StoreFetchRoundTripsArbitraryBytes)
 {
-    const std::string dir =
-        (std::filesystem::path(testing::TempDir()) / "lruleak-cache-rt")
-            .string();
+    const std::string dir = processTempDir("lruleak-cache-rt");
     std::filesystem::remove_all(dir);
     const ResultCache cache(dir, "h");
     const std::string key = cache.keyFor("exp", {}, "json");
@@ -215,9 +228,7 @@ class FleetCatalogTest : public ::testing::Test
     static void
     SetUpTestSuite()
     {
-        cache_dir_ = (std::filesystem::path(testing::TempDir()) /
-                      "lruleak-fleet-cache")
-                         .string();
+        cache_dir_ = processTempDir("lruleak-fleet-cache");
         std::filesystem::remove_all(cache_dir_);
         cache_ = new ResultCache(cache_dir_, "fleet-test-binary");
 

@@ -6,7 +6,7 @@
  * independent vector-based implementations, so they serve as the oracle:
  * ReplState must match them state-bit-for-state-bit and victim-for-
  * victim on randomized operation traces, for all six policies.  The
- * ReplStatePolicy adapter and the CacheSet batch APIs are checked the
+ * legacy state() snapshot and the CacheSet batch APIs are checked the
  * same way.
  */
 
@@ -97,19 +97,19 @@ TEST_P(ReplStateEquivalence, AdapterRoundTripsThroughState)
     for (int op = 0; op < 100; ++op)
         legacy->touch(static_cast<std::uint32_t>(rng.below(ways)));
 
-    // Snapshot into the value core and wrap back behind the interface.
-    ReplStatePolicy adapter(legacy->state());
-    EXPECT_EQ(adapter.stateBits(), legacy->stateBits());
-    EXPECT_EQ(adapter.kind(), legacy->kind());
-    EXPECT_EQ(adapter.victim(), legacy->victim());
+    // Snapshot into the value core mid-trace.
+    ReplState state = legacy->state();
+    EXPECT_EQ(state.stateBits(), legacy->stateBits());
+    EXPECT_EQ(state.kind(), legacy->kind());
+    EXPECT_EQ(state.victim(), legacy->victim());
 
     // Both sides must continue in lockstep after the snapshot.
     for (int op = 0; op < 200; ++op) {
         const auto way = static_cast<std::uint32_t>(rng.below(ways));
-        adapter.touch(way);
+        state.touch(way);
         legacy->touch(way);
-        ASSERT_EQ(adapter.stateBits(), legacy->stateBits());
-        ASSERT_EQ(adapter.selectVictim(), legacy->selectVictim());
+        ASSERT_EQ(state.stateBits(), legacy->stateBits());
+        ASSERT_EQ(state.selectVictim(), legacy->selectVictim());
     }
 }
 
