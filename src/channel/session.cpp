@@ -6,6 +6,7 @@
 #include "channel/session.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -158,32 +159,20 @@ partyCoreTimeSlice(const SessionConfig &config, std::uint32_t core)
  * Cache::reset() reseeds the fill RNG with the constructor expression.
  * So runSession caches the last topology per thread and swaps it in
  * whenever the config tuple repeats, which is every repeated-session
- * workload (bench lanes, matrix sweeps, percent-ones loops).
+ * workload (bench lanes, matrix sweeps, percent-ones loops).  Each
+ * topology type has its own pool.
  */
-sim::CacheHierarchy &
-pooledHierarchy(const sim::HierarchyConfig &config)
+template <typename Topology, typename Config>
+Topology &
+pooled(const Config &config)
 {
-    static thread_local std::unique_ptr<sim::CacheHierarchy> pool;
-    static thread_local sim::HierarchyConfig pool_config;
+    static thread_local std::unique_ptr<Topology> pool;
+    static thread_local Config pool_config;
     if (pool && pool_config == config) {
         pool->reset();
         return *pool;
     }
-    pool = std::make_unique<sim::CacheHierarchy>(config);
-    pool_config = config;
-    return *pool;
-}
-
-sim::MultiCoreHierarchy &
-pooledMultiCore(const sim::MultiCoreConfig &config)
-{
-    static thread_local std::unique_ptr<sim::MultiCoreHierarchy> pool;
-    static thread_local sim::MultiCoreConfig pool_config;
-    if (pool && pool_config == config) {
-        pool->reset();
-        return *pool;
-    }
-    pool = std::make_unique<sim::MultiCoreHierarchy>(config);
+    pool = std::make_unique<Topology>(config);
     pool_config = config;
     return *pool;
 }
@@ -372,9 +361,13 @@ runSession(const SessionConfig &config)
     };
     if (multi) {
         sim::MultiCoreConfig mc;
-        mc.cores =
+        // Summed in 64 bits: a huge noise count must reach the
+        // hierarchy's core limit, not wrap round to a small topology.
+        const std::uint64_t cores =
             (config.mode == SharingMode::CrossCore ? 1u + spy_count : 1u) +
-            config.noise_cores;
+            std::uint64_t{config.noise_cores};
+        mc.cores = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+            cores, std::numeric_limits<std::uint32_t>::max()));
         mc.l1 = sim::CacheConfig::intelL1d(config.l1_policy);
         mc.l1.secure = config.l1_secure;
         if (config.llc_policy)
@@ -385,7 +378,7 @@ runSession(const SessionConfig &config)
         applyWritePolicy(mc.l1);
         applyWritePolicy(mc.l2);
         applyWritePolicy(mc.llc);
-        sim::MultiCoreHierarchy &hierarchy = pooledMultiCore(mc);
+        auto &hierarchy = pooled<sim::MultiCoreHierarchy>(mc);
 
         run = runMultiCore(config, *sender, receivers, hierarchy);
 
@@ -421,7 +414,7 @@ runSession(const SessionConfig &config)
         applyWritePolicy(h.l1);
         applyWritePolicy(h.l2);
         applyWritePolicy(h.llc);
-        sim::CacheHierarchy &hierarchy = pooledHierarchy(h);
+        auto &hierarchy = pooled<sim::CacheHierarchy>(h);
 
         run = runSingleCore(config, *pair, hierarchy);
 

@@ -5,6 +5,8 @@
 
 #include "experiments/common.hpp"
 
+#include <sstream>
+
 namespace lruleak::experiments {
 
 timing::Uarch
@@ -45,6 +47,20 @@ parseChannels(const std::string &list)
         throw core::ParamError(
             "parameter 'channels': at least one channel is required");
     return out;
+}
+
+std::vector<sim::ReplPolicyKind>
+parsePolicies(const std::string &list)
+{
+    std::vector<sim::ReplPolicyKind> policies;
+    std::string token;
+    std::stringstream ss(list);
+    while (std::getline(ss, token, ','))
+        policies.push_back(sim::replPolicyFromName(token));
+    if (policies.empty())
+        throw core::ParamError("parameter 'policies': at least one "
+                               "replacement policy is required");
+    return policies;
 }
 
 std::vector<double>

@@ -14,6 +14,7 @@
 #include "channel/channel_factory.hpp"
 #include "channel/decoder.hpp"
 #include "core/experiment.hpp"
+#include "sim/repl_state.hpp"
 #include "timing/uarch.hpp"
 
 namespace lruleak::experiments {
@@ -67,6 +68,9 @@ channelsParam(const std::string &def)
 
 /** Parse the channelsParam value; throws ParamError on a bad name. */
 std::vector<channel::ChannelId> parseChannels(const std::string &list);
+
+/** Parse a comma-separated `policies` value; throws ParamError if empty. */
+std::vector<sim::ReplPolicyKind> parsePolicies(const std::string &list);
 
 /** First @p limit sample latencies as a plottable series. */
 std::vector<double> sampleLatencies(const std::vector<channel::Sample> &s,

@@ -28,8 +28,6 @@
  * together, exactly as `xcore_timesliced` does.
  */
 
-#include <sstream>
-
 #include "channel/session.hpp"
 #include "core/trial_runner.hpp"
 #include "experiments/common.hpp"
@@ -395,20 +393,6 @@ class ChannelMatrix final : public Experiment
     }
 
   private:
-    static std::vector<sim::ReplPolicyKind>
-    parsePolicies(const std::string &list)
-    {
-        std::vector<sim::ReplPolicyKind> policies;
-        std::string token;
-        std::stringstream ss(list);
-        while (std::getline(ss, token, ','))
-            policies.push_back(sim::replPolicyFromName(token));
-        if (policies.empty())
-            throw ParamError("parameter 'policies': at least one "
-                             "replacement policy is required");
-        return policies;
-    }
-
     static std::vector<std::string>
     headerFor(const std::vector<sim::ReplPolicyKind> &policies)
     {

@@ -25,7 +25,6 @@
  */
 
 #include <memory>
-#include <sstream>
 
 #include "channel/session.hpp"
 #include "core/trial_runner.hpp"
@@ -46,20 +45,6 @@ using namespace lruleak::channel;
 /** Cross-core operating point (same as the channel/leakage matrices). */
 constexpr std::uint64_t kTr = 3000;
 constexpr std::uint64_t kTs = 30'000;
-
-std::vector<sim::ReplPolicyKind>
-parsePolicies(const std::string &list)
-{
-    std::vector<sim::ReplPolicyKind> policies;
-    std::string token;
-    std::stringstream ss(list);
-    while (std::getline(ss, token, ','))
-        policies.push_back(sim::replPolicyFromName(token));
-    if (policies.empty())
-        throw ParamError("parameter 'policies': at least one "
-                         "replacement policy is required");
-    return policies;
-}
 
 class TraceReplay final : public Experiment
 {

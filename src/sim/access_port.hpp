@@ -7,11 +7,11 @@
  * time-sliced sharing) or the MultiCoreHierarchy (cross-core scenarios).
  * AccessPort is the narrow waist between the two: a demand access issued
  * from a core, a batched replay of a whole access sequence (the kernel
- * bursts of the time-sliced model), a topology-wide flush, and the
- * optional inclusion audit.  The two adapters below are pass-throughs —
- * they add no behaviour, only erase the concrete topology type — so a
- * scheduler ported from a concrete hierarchy to a port is access-for-
- * access identical.
+ * bursts of the time-sliced model) that defaults to a loop over that
+ * access, a topology-wide flush, and the optional inclusion audit.  The
+ * two adapters below are pass-throughs — they add no behaviour, only
+ * erase the concrete topology type — so a scheduler ported from a
+ * concrete hierarchy to a port is access-for-access identical.
  */
 
 #ifndef LRULEAK_SIM_ACCESS_PORT_HPP
@@ -57,24 +57,44 @@ class AccessPort
 
     /**
      * Replay a whole access sequence from @p core, recording the level
-     * each access was served from (semantically one access() per ref).
+     * each access was served from: one access() per ref, in order.
+     * Batching above CacheSet is this loop; the virtuals exist so a
+     * wrapping port can observe a batch as one call.
      * @pre levels.size() >= refs.size()
      */
-    virtual void accessBatch(std::uint32_t core, std::span<const MemRef> refs,
-                             std::span<HitLevel> levels) = 0;
+    virtual void
+    accessBatch(std::uint32_t core, std::span<const MemRef> refs,
+                std::span<HitLevel> levels)
+    {
+        for (std::size_t i = 0; i < refs.size(); ++i)
+            levels[i] = access(core, refs[i]).level;
+    }
 
     /** Same, for callers that do not need the individual outcomes. */
-    virtual void accessBatch(std::uint32_t core,
-                             std::span<const MemRef> refs) = 0;
+    virtual void
+    accessBatch(std::uint32_t core, std::span<const MemRef> refs)
+    {
+        for (const MemRef &ref : refs)
+            access(core, ref);
+    }
 
     /**
      * Batched demand run for the engine's AccessRun op: per-ref levels
      * recorded into @p levels, summed write-back transactions returned.
      * @pre levels.size() >= refs.size()
      */
-    virtual std::uint64_t accessRun(std::uint32_t core,
-                                    std::span<const MemRef> refs,
-                                    std::span<HitLevel> levels) = 0;
+    virtual std::uint64_t
+    accessRun(std::uint32_t core, std::span<const MemRef> refs,
+              std::span<HitLevel> levels)
+    {
+        std::uint64_t writebacks = 0;
+        for (std::size_t i = 0; i < refs.size(); ++i) {
+            const PortAccess res = access(core, refs[i]);
+            levels[i] = res.level;
+            writebacks += res.writebacks;
+        }
+        return writebacks;
+    }
 
     /**
      * clflush: remove the line from every cache of every core.  Reports
@@ -116,26 +136,6 @@ class SingleCorePort final : public AccessPort
         return PortAccess{res.level, res.writebacks};
     }
 
-    void
-    accessBatch(std::uint32_t, std::span<const MemRef> refs,
-                std::span<HitLevel> levels) override
-    {
-        hierarchy_.accessBatch(refs, levels);
-    }
-
-    void
-    accessBatch(std::uint32_t, std::span<const MemRef> refs) override
-    {
-        hierarchy_.accessBatch(refs);
-    }
-
-    std::uint64_t
-    accessRun(std::uint32_t, std::span<const MemRef> refs,
-              std::span<HitLevel> levels) override
-    {
-        return hierarchy_.accessRun(refs, levels);
-    }
-
     CacheFlushResult
     flush(const MemRef &ref) override
     {
@@ -168,26 +168,6 @@ class MultiCorePort final : public AccessPort
     {
         const auto res = hierarchy_.access(core, ref);
         return PortAccess{res.level, res.writebacks};
-    }
-
-    void
-    accessBatch(std::uint32_t core, std::span<const MemRef> refs,
-                std::span<HitLevel> levels) override
-    {
-        hierarchy_.accessBatch(core, refs, levels);
-    }
-
-    void
-    accessBatch(std::uint32_t core, std::span<const MemRef> refs) override
-    {
-        hierarchy_.accessBatch(core, refs);
-    }
-
-    std::uint64_t
-    accessRun(std::uint32_t core, std::span<const MemRef> refs,
-              std::span<HitLevel> levels) override
-    {
-        return hierarchy_.accessRun(core, refs, levels);
     }
 
     CacheFlushResult

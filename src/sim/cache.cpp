@@ -225,64 +225,6 @@ Cache::access(const MemRef &ref, LockReq lock_req)
     return res;
 }
 
-void
-Cache::accessBatch(std::span<const MemRef> refs,
-                   std::span<CacheAccessResult> results)
-{
-    // Secure modes take the general per-access path: DAWG routes by
-    // thread and RandomFill redirects fills, neither of which the
-    // single-set fast loop models.
-    if (config_.secure != SecureMode::None) {
-        for (std::size_t i = 0; i < refs.size(); ++i)
-            results[i] = access(refs[i]);
-        return;
-    }
-
-    // Per-thread counter tallies are flushed once per thread run instead
-    // of per access (batches are almost always single-thread).
-    ThreadId run_thread = refs.empty() ? 0 : refs[0].thread;
-    std::uint64_t run_hits = 0;
-    std::uint64_t run_accesses = 0;
-
-    for (std::size_t i = 0; i < refs.size(); ++i) {
-        const MemRef &ref = refs[i];
-        const std::uint32_t set = layout_.setIndex(ref.vaddr);
-        const Addr tag = layout_.tag(ref.paddr);
-        const std::uint16_t utag =
-            way_predictor_ ? WayPredictor::utag(ref.vaddr) : 0;
-
-        SetAccessResult sr = sets_[set].access(tag, utag, way_predictor_,
-                                               LockReq::None, ref.thread,
-                                               ref.is_write);
-
-        CacheAccessResult &res = results[i];
-        res = CacheAccessResult{};
-        res.hit = sr.hit;
-        res.set = set;
-        res.way = sr.way;
-        res.filled = sr.filled;
-        res.bypassed = sr.bypassed;
-        res.utag_mismatch = sr.utag_mismatch;
-        res.dirty_writeback = sr.dirty_writeback;
-        res.write_no_alloc = sr.write_no_alloc;
-        if (sr.evicted)
-            res.evicted_line = layout_.compose(sr.evicted_tag, set);
-
-        if (sr.dirty_writeback)
-            counters_.recordWriteback(ref.thread);
-        if (ref.thread != run_thread) {
-            counters_.recordMany(run_thread, run_hits, run_accesses);
-            run_thread = ref.thread;
-            run_hits = 0;
-            run_accesses = 0;
-        }
-        ++run_accesses;
-        run_hits += sr.hit ? 1 : 0;
-    }
-    if (run_accesses > 0)
-        counters_.recordMany(run_thread, run_hits, run_accesses);
-}
-
 CacheAccessResult
 Cache::prefetch(const MemRef &ref)
 {

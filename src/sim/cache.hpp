@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "sim/address.hpp"
@@ -114,17 +113,6 @@ class Cache
     std::uint64_t sharpAlarmsTotal() const;
     std::uint64_t sharpForcedTotal() const;
     std::uint64_t sharpDeniedTotal() const;
-
-    /**
-     * Replay a whole access sequence (plain demand loads, no lock
-     * requests), writing one result per reference into @p results.
-     * Perf counters are tallied in bulk per thread run, so the per-
-     * access map lookup disappears from the hot loop.
-     *
-     * @pre results.size() >= refs.size()
-     */
-    void accessBatch(std::span<const MemRef> refs,
-                     std::span<CacheAccessResult> results);
 
     /** Prefetch fill: installs the line, updates LRU, no perf counters. */
     CacheAccessResult prefetch(const MemRef &ref);

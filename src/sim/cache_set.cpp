@@ -256,17 +256,15 @@ namespace {
  * accessBatch and the stats-only replayBatch (@p kCollect selects at
  * compile time).  @p kWays = 0 keeps the way count a runtime value; a
  * non-zero kWays makes it a compile-time constant so the probe loop
- * fully unrolls.  @p kWrites enables the store path (@p writes runs
- * parallel to @p tags); read-only instantiations still maintain the
- * dirty mask, because a read fill can evict a line dirtied earlier.
+ * fully unrolls.  Batches are loads only, but the dirty mask is still
+ * maintained: a fill can evict a line an earlier store dirtied.
  */
-template <std::uint32_t kWays, bool kCollect, bool kWrites, typename St>
+template <std::uint32_t kWays, bool kCollect, typename St>
 inline SetBatchStats
 runBatchLoop(St &st, Addr *const set_tags, std::uint16_t *const utags,
              ThreadId *const filled_by, std::uint32_t &valid_ref,
              std::uint32_t &dirty_ref, std::uint32_t runtime_ways,
              std::uint32_t full, std::span<const Addr> tags,
-             const std::uint8_t *const writes, bool wb_hits, bool allocate,
              SetAccessResult *const results, ThreadId thread)
 {
     const std::uint32_t ways = kWays != 0 ? kWays : runtime_ways;
@@ -282,10 +280,6 @@ runBatchLoop(St &st, Addr *const set_tags, std::uint16_t *const utags,
     for (std::size_t i = 0; i < n; ++i) {
         const Addr tag = tags[i];
         SetAccessResult res;
-        bool is_write = false;
-        if constexpr (kWrites)
-            is_write = writes[i] != 0;
-        const bool mark_dirty = is_write && wb_hits;
 
         std::uint32_t way = kNoWay;
         if (valid == full) {
@@ -307,20 +301,12 @@ runBatchLoop(St &st, Addr *const set_tags, std::uint16_t *const utags,
 
         if (way != kNoWay) {
             local.touch(way);
-            if constexpr (kWrites) {
-                if (mark_dirty)
-                    dirty |= 1u << way;
-            }
             if constexpr (kCollect) {
                 res.hit = true;
                 res.way = way;
             } else {
                 ++stats.hits;
             }
-        } else if (kWrites && is_write && !allocate) {
-            // No-write-allocate: the store bypasses this level.
-            if constexpr (kCollect)
-                res.write_no_alloc = true;
         } else {
             std::uint32_t victim;
             bool dirty_wb = false;
@@ -340,10 +326,7 @@ runBatchLoop(St &st, Addr *const set_tags, std::uint16_t *const utags,
                 }
             }
             stats.dirty_writebacks += dirty_wb ? 1 : 0;
-            if (mark_dirty)
-                dirty |= 1u << victim;
-            else
-                dirty &= ~(1u << victim);
+            dirty &= ~(1u << victim);
             set_tags[victim] = tag;
             utags[victim] = 0;
             filled_by[victim] = thread;
@@ -365,32 +348,29 @@ runBatchLoop(St &st, Addr *const set_tags, std::uint16_t *const utags,
 }
 
 /** Dispatch the batch loop over (state alternative, common way count). */
-template <bool kCollect, bool kWrites>
+template <bool kCollect>
 inline SetBatchStats
 dispatchBatch(ReplState &repl, Addr *set_tags, std::uint16_t *utags,
               ThreadId *filled_by, std::uint32_t &valid_ref,
               std::uint32_t &dirty_ref, std::uint32_t ways,
               std::uint32_t full, std::span<const Addr> tags,
-              const std::uint8_t *writes, bool wb_hits, bool allocate,
               SetAccessResult *results, ThreadId thread)
 {
     return repl.visitState([&](auto &st) {
         switch (ways) {
           case 8:
-            return runBatchLoop<8, kCollect, kWrites>(
-                st, set_tags, utags, filled_by, valid_ref, dirty_ref,
-                ways, full, tags, writes, wb_hits, allocate, results,
-                thread);
+            return runBatchLoop<8, kCollect>(st, set_tags, utags, filled_by,
+                                             valid_ref, dirty_ref, ways,
+                                             full, tags, results, thread);
           case 16:
-            return runBatchLoop<16, kCollect, kWrites>(
-                st, set_tags, utags, filled_by, valid_ref, dirty_ref,
-                ways, full, tags, writes, wb_hits, allocate, results,
-                thread);
+            return runBatchLoop<16, kCollect>(st, set_tags, utags,
+                                              filled_by, valid_ref,
+                                              dirty_ref, ways, full, tags,
+                                              results, thread);
           default:
-            return runBatchLoop<0, kCollect, kWrites>(
-                st, set_tags, utags, filled_by, valid_ref, dirty_ref,
-                ways, full, tags, writes, wb_hits, allocate, results,
-                thread);
+            return runBatchLoop<0, kCollect>(st, set_tags, utags, filled_by,
+                                             valid_ref, dirty_ref, ways,
+                                             full, tags, results, thread);
         }
     });
 }
@@ -412,31 +392,9 @@ CacheSet::accessBatch(std::span<const Addr> tags,
     // concrete replacement state (and per common way count), so
     // touch/onFill/selectVictim are direct, inlinable calls on a
     // register-resident state machine.
-    dispatchBatch<true, false>(repl_, tags_.data(), utags_.data(),
-                               filled_by_.data(), valid_mask_, dirty_mask_,
-                               ways_, fullMask(), tags, nullptr,
-                               write_hit_ == WriteHitPolicy::WriteBack,
-                               write_miss_ == WriteMissPolicy::WriteAllocate,
-                               results.data(), thread);
-}
-
-void
-CacheSet::accessBatch(std::span<const Addr> tags,
-                      std::span<const std::uint8_t> writes,
-                      std::span<SetAccessResult> results, ThreadId thread)
-{
-    if (pl_mode_ != PlMode::Disabled) {
-        for (std::size_t i = 0; i < tags.size(); ++i)
-            results[i] = access(tags[i], 0, false, LockReq::None, thread,
-                                writes[i] != 0);
-        return;
-    }
-    dispatchBatch<true, true>(repl_, tags_.data(), utags_.data(),
-                              filled_by_.data(), valid_mask_, dirty_mask_,
-                              ways_, fullMask(), tags, writes.data(),
-                              write_hit_ == WriteHitPolicy::WriteBack,
-                              write_miss_ == WriteMissPolicy::WriteAllocate,
-                              results.data(), thread);
+    dispatchBatch<true>(repl_, tags_.data(), utags_.data(),
+                        filled_by_.data(), valid_mask_, dirty_mask_, ways_,
+                        fullMask(), tags, results.data(), thread);
 }
 
 SetBatchStats
@@ -455,35 +413,9 @@ CacheSet::replayBatch(std::span<const Addr> tags, ThreadId thread)
         }
         return stats;
     }
-    return dispatchBatch<false, false>(
-        repl_, tags_.data(), utags_.data(), filled_by_.data(), valid_mask_,
-        dirty_mask_, ways_, fullMask(), tags, nullptr,
-        write_hit_ == WriteHitPolicy::WriteBack,
-        write_miss_ == WriteMissPolicy::WriteAllocate, nullptr, thread);
-}
-
-SetBatchStats
-CacheSet::replayBatch(std::span<const Addr> tags,
-                      std::span<const std::uint8_t> writes, ThreadId thread)
-{
-    if (pl_mode_ != PlMode::Disabled) {
-        SetBatchStats stats;
-        stats.accesses = tags.size();
-        for (std::size_t i = 0; i < tags.size(); ++i) {
-            const auto res = access(tags[i], 0, false, LockReq::None,
-                                    thread, writes[i] != 0);
-            stats.hits += res.hit ? 1 : 0;
-            stats.fills += res.filled ? 1 : 0;
-            stats.evictions += res.evicted ? 1 : 0;
-            stats.dirty_writebacks += res.dirty_writeback ? 1 : 0;
-        }
-        return stats;
-    }
-    return dispatchBatch<false, true>(
-        repl_, tags_.data(), utags_.data(), filled_by_.data(), valid_mask_,
-        dirty_mask_, ways_, fullMask(), tags, writes.data(),
-        write_hit_ == WriteHitPolicy::WriteBack,
-        write_miss_ == WriteMissPolicy::WriteAllocate, nullptr, thread);
+    return dispatchBatch<false>(repl_, tags_.data(), utags_.data(),
+                                filled_by_.data(), valid_mask_, dirty_mask_,
+                                ways_, fullMask(), tags, nullptr, thread);
 }
 
 bool

@@ -211,29 +211,12 @@ class CacheSet
                      ThreadId thread = 0);
 
     /**
-     * Read/write flavour: @p writes runs parallel to @p tags (non-zero
-     * = store).  Same specialised inner loop, instantiated with the
-     * write path enabled.
-     *
-     * @pre writes.size() >= tags.size()
-     */
-    void accessBatch(std::span<const Addr> tags,
-                     std::span<const std::uint8_t> writes,
-                     std::span<SetAccessResult> results,
-                     ThreadId thread = 0);
-
-    /**
      * Stats-only flavour of accessBatch for callers that replay a
      * sequence purely for its state effect (Monte-Carlo warm-ups and
      * measured loops, channel init/decode walks): no per-access results
      * are materialised, only the aggregate tallies.
      */
     SetBatchStats replayBatch(std::span<const Addr> tags,
-                              ThreadId thread = 0);
-
-    /** Read/write flavour of the stats-only replay. */
-    SetBatchStats replayBatch(std::span<const Addr> tags,
-                              std::span<const std::uint8_t> writes,
                               ThreadId thread = 0);
 
     /** Invalidate the line holding @p tag (clflush). @return true if hit */

@@ -121,34 +121,6 @@ CacheHierarchy::access(const MemRef &ref, LockReq lock_req)
     return res;
 }
 
-void
-CacheHierarchy::accessBatch(std::span<const MemRef> refs)
-{
-    for (const MemRef &ref : refs)
-        access(ref);
-}
-
-void
-CacheHierarchy::accessBatch(std::span<const MemRef> refs,
-                            std::span<HitLevel> levels)
-{
-    for (std::size_t i = 0; i < refs.size(); ++i)
-        levels[i] = access(refs[i]).level;
-}
-
-std::uint64_t
-CacheHierarchy::accessRun(std::span<const MemRef> refs,
-                          std::span<HitLevel> levels)
-{
-    std::uint64_t writebacks = 0;
-    for (std::size_t i = 0; i < refs.size(); ++i) {
-        const auto res = access(refs[i]);
-        levels[i] = res.level;
-        writebacks += res.writebacks;
-    }
-    return writebacks;
-}
-
 CacheFlushResult
 CacheHierarchy::flush(const MemRef &ref)
 {

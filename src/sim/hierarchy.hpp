@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "sim/cache.hpp"
@@ -81,32 +80,6 @@ class CacheHierarchy
      */
     HierarchyAccessResult access(const MemRef &ref,
                                  LockReq lock_req = LockReq::None);
-
-    /**
-     * Replay a whole access sequence (plain demand loads) whose
-     * individual outcomes the caller does not need — the prime/init
-     * loops of the channels and the Spectre harness.  Semantically one
-     * access() per reference.
-     */
-    void accessBatch(std::span<const MemRef> refs);
-
-    /**
-     * Same, but records the level each access was served from into
-     * @p levels (for callers that charge per-access latency, like the
-     * schedulers' kernel-noise bursts).  @pre levels.size() >= refs.size()
-     */
-    void accessBatch(std::span<const MemRef> refs,
-                     std::span<HitLevel> levels);
-
-    /**
-     * Batched demand run for the engine's AccessRun op: one access()
-     * per reference, recording the level each was served from and
-     * returning the run's summed write-back transactions (the caller
-     * charges per-access latency plus the aggregate write-back stall).
-     * @pre levels.size() >= refs.size()
-     */
-    std::uint64_t accessRun(std::span<const MemRef> refs,
-                            std::span<HitLevel> levels);
 
     /**
      * clflush: remove the line from every level.  Reports whether any

@@ -19,6 +19,9 @@ coreSeed(std::uint64_t base, std::uint32_t core, std::uint32_t level)
     return base + 0x9e3779b97f4a7c15ULL * (core * 4ULL + level + 1);
 }
 
+/** Upper bound on MultiCoreConfig::cores, checked before allocating. */
+constexpr std::uint32_t kMaxCores = 64;
+
 } // namespace
 
 MultiCoreHierarchy::MultiCoreHierarchy(const MultiCoreConfig &config)
@@ -27,6 +30,11 @@ MultiCoreHierarchy::MultiCoreHierarchy(const MultiCoreConfig &config)
     if (config.cores == 0)
         throw std::invalid_argument(
             "MultiCoreHierarchy needs at least one core");
+    if (config.cores > kMaxCores)
+        throw std::invalid_argument(
+            "MultiCoreHierarchy supports at most " +
+            std::to_string(kMaxCores) + " cores, got " +
+            std::to_string(config.cores));
     l1_.reserve(config.cores);
     l2_.reserve(config.cores);
     for (std::uint32_t c = 0; c < config.cores; ++c) {
@@ -165,36 +173,6 @@ MultiCoreHierarchy::access(std::uint32_t core, const MemRef &ref)
         }
     }
     return res;
-}
-
-void
-MultiCoreHierarchy::accessBatch(std::uint32_t core,
-                                std::span<const MemRef> refs,
-                                std::span<HitLevel> levels)
-{
-    for (std::size_t i = 0; i < refs.size(); ++i)
-        levels[i] = access(core, refs[i]).level;
-}
-
-void
-MultiCoreHierarchy::accessBatch(std::uint32_t core,
-                                std::span<const MemRef> refs)
-{
-    for (const MemRef &ref : refs)
-        access(core, ref);
-}
-
-std::uint64_t
-MultiCoreHierarchy::accessRun(std::uint32_t core, std::span<const MemRef> refs,
-                              std::span<HitLevel> levels)
-{
-    std::uint64_t writebacks = 0;
-    for (std::size_t i = 0; i < refs.size(); ++i) {
-        const auto res = access(core, refs[i]);
-        levels[i] = res.level;
-        writebacks += res.writebacks;
-    }
-    return writebacks;
 }
 
 bool

@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -41,7 +40,7 @@ namespace lruleak::sim {
 /** Configuration of the whole multi-core topology. */
 struct MultiCoreConfig
 {
-    std::uint32_t cores = 2;               //!< number of cores (>= 1)
+    std::uint32_t cores = 2;               //!< number of cores (1..64)
     CacheConfig l1 = CacheConfig::intelL1d();  //!< per-core private L1D
     CacheConfig l2 = CacheConfig::intelL2();   //!< per-core private L2
     CacheConfig llc = CacheConfig::intelLlc(); //!< shared inclusive LLC
@@ -86,27 +85,6 @@ class MultiCoreHierarchy
      * all cores' private caches.
      */
     MultiCoreAccessResult access(std::uint32_t core, const MemRef &ref);
-
-    /**
-     * Replay a whole access sequence from @p core, recording the level
-     * each access was served from (semantically one access() per ref).
-     * Used by the execution engine's kernel-noise bursts in the
-     * time-sliced-over-multicore scenarios.
-     * @pre levels.size() >= refs.size()
-     */
-    void accessBatch(std::uint32_t core, std::span<const MemRef> refs,
-                     std::span<HitLevel> levels);
-
-    /** Same, for callers that do not need the individual outcomes. */
-    void accessBatch(std::uint32_t core, std::span<const MemRef> refs);
-
-    /**
-     * Batched demand run for the engine's AccessRun op: per-ref levels
-     * out, summed write-back transactions returned.
-     * @pre levels.size() >= refs.size()
-     */
-    std::uint64_t accessRun(std::uint32_t core, std::span<const MemRef> refs,
-                            std::span<HitLevel> levels);
 
     /**
      * clflush: remove the line from every cache of every core.  Reports

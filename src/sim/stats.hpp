@@ -69,19 +69,6 @@ class PerfCounters
         slot(thread).record(hit);
     }
 
-    /** Bulk tally for batched accesses: one slot lookup per batch run. */
-    void
-    recordMany(ThreadId thread, std::uint64_t hits, std::uint64_t accesses)
-    {
-        total_.accesses += accesses;
-        total_.hits += hits;
-        total_.misses += accesses - hits;
-        LevelStats &s = slot(thread);
-        s.accesses += accesses;
-        s.hits += hits;
-        s.misses += accesses - hits;
-    }
-
     /** One dirty line drained (evicted, flushed or written through). */
     void
     recordWriteback(ThreadId thread)

@@ -308,7 +308,8 @@ class LegacyTimeSliceScheduler
                 kKernelBase + rng_.below(kKernelLines) * 64;
             burst_refs_[i] = sim::MemRef{line, line, kKernelThread, false};
         }
-        hierarchy_.accessBatch(burst_refs_, burst_levels_);
+        for (std::uint64_t i = 0; i < count; ++i)
+            burst_levels_[i] = hierarchy_.access(burst_refs_[i]).level;
         for (std::uint64_t i = 0; i < count; ++i)
             now_ += uarch_.latency(burst_levels_[i]);
     }

@@ -205,65 +205,3 @@ TEST_P(Associativity, FullSetPlusOne)
 
 INSTANTIATE_TEST_SUITE_P(Ways, Associativity,
                          ::testing::Values(2u, 4u, 8u, 16u));
-
-// ------------------------------------------------------------ batch API
-
-TEST(CacheBatch, MatchesPerAccessPathAndCounters)
-{
-    auto batched = makeL1();
-    auto serial = makeL1();
-    const AddressLayout &layout = batched.layout();
-
-    std::vector<MemRef> refs;
-    Xoshiro256 rng(17);
-    for (int i = 0; i < 3000; ++i) {
-        const auto set = static_cast<std::uint32_t>(rng.below(4));
-        const auto line = static_cast<std::uint32_t>(rng.below(12));
-        refs.push_back(MemRef::load(lineInSet(layout, set, line)));
-    }
-
-    std::vector<CacheAccessResult> results(refs.size());
-    batched.accessBatch(refs, results);
-
-    for (std::size_t i = 0; i < refs.size(); ++i) {
-        const auto res = serial.access(refs[i]);
-        ASSERT_EQ(results[i].hit, res.hit) << "access " << i;
-        ASSERT_EQ(results[i].set, res.set) << "access " << i;
-        ASSERT_EQ(results[i].way, res.way) << "access " << i;
-        ASSERT_EQ(results[i].evicted_line, res.evicted_line)
-            << "access " << i;
-    }
-
-    // Bulk counter tallies must equal the per-access ones.
-    EXPECT_EQ(batched.counters().total().accesses,
-              serial.counters().total().accesses);
-    EXPECT_EQ(batched.counters().total().hits,
-              serial.counters().total().hits);
-    EXPECT_EQ(batched.counters().forThread(0).misses,
-              serial.counters().forThread(0).misses);
-}
-
-TEST(CacheBatch, PerThreadCounterRuns)
-{
-    auto cache = makeL1();
-    const AddressLayout &layout = cache.layout();
-    std::vector<MemRef> refs;
-    for (std::uint32_t i = 0; i < 4; ++i)
-        refs.push_back(MemRef{lineInSet(layout, 1, i),
-                              lineInSet(layout, 1, i), /*thread=*/0,
-                              false});
-    for (std::uint32_t i = 0; i < 3; ++i)
-        refs.push_back(MemRef{lineInSet(layout, 2, i),
-                              lineInSet(layout, 2, i), /*thread=*/7,
-                              false});
-    refs.push_back(MemRef{lineInSet(layout, 1, 0),
-                          lineInSet(layout, 1, 0), /*thread=*/0, false});
-
-    std::vector<CacheAccessResult> results(refs.size());
-    cache.accessBatch(refs, results);
-
-    EXPECT_EQ(cache.counters().forThread(0).accesses, 5u);
-    EXPECT_EQ(cache.counters().forThread(0).hits, 1u);
-    EXPECT_EQ(cache.counters().forThread(7).accesses, 3u);
-    EXPECT_EQ(cache.counters().total().accesses, 8u);
-}

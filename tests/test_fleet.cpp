@@ -221,6 +221,13 @@ TEST(ResultCache, ResolveCacheDirPrecedence)
  * One unsharded smoke-scale pass over the real registry (populating a
  * cache), then shard sweeps for several N replaying from that cache.
  * Everything downstream compares against `all`.
+ *
+ * By default each process makes its own cold pass into a private store.
+ * Under ctest the cases share one: the FleetCatalogStore fixture runs
+ * the cold pass once into LRULEAK_FLEET_STORE_INIT and records its
+ * outcome there, and every case reads that store and record through
+ * LRULEAK_FLEET_STORE (the cases only fetch, so they may run in
+ * parallel).
  */
 class FleetCatalogTest : public ::testing::Test
 {
@@ -228,7 +235,19 @@ class FleetCatalogTest : public ::testing::Test
     static void
     SetUpTestSuite()
     {
-        cache_dir_ = processTempDir("lruleak-fleet-cache");
+        const char *init = std::getenv("LRULEAK_FLEET_STORE_INIT");
+        const char *shared = std::getenv("LRULEAK_FLEET_STORE");
+        if (init == nullptr && shared != nullptr) {
+            cache_dir_ = shared;
+            cache_ = new ResultCache(cache_dir_, "fleet-test-binary");
+            owns_store_ = false;
+            if (loadColdPass())
+                return;
+            delete cache_; // no complete record: make a private pass
+        }
+        owns_store_ = init == nullptr;
+        cache_dir_ = owns_store_ ? processTempDir("lruleak-fleet-cache")
+                                 : std::string(init);
         std::filesystem::remove_all(cache_dir_);
         cache_ = new ResultCache(cache_dir_, "fleet-test-binary");
 
@@ -240,6 +259,8 @@ class FleetCatalogTest : public ::testing::Test
         outcome_ = runAllCatalog(options, out, err);
         all_ = out.str();
         errors_ = err.str();
+        if (!owns_store_)
+            saveColdPass();
     }
 
     static void
@@ -247,7 +268,39 @@ class FleetCatalogTest : public ::testing::Test
     {
         delete cache_;
         cache_ = nullptr;
-        std::filesystem::remove_all(cache_dir_);
+        if (owns_store_)
+            std::filesystem::remove_all(cache_dir_);
+    }
+
+    /** Record the cold pass in the store; the counts go last, so their
+     *  presence marks a complete record. */
+    static void
+    saveColdPass()
+    {
+        cache_->store("cold-pass-document", all_);
+        cache_->store("cold-pass-errors", errors_);
+        std::ostringstream counts;
+        counts << outcome_.ran << ' ' << outcome_.skipped << ' '
+               << outcome_.failures << ' ' << outcome_.cache.hits << ' '
+               << outcome_.cache.misses << ' ' << outcome_.cache.skips;
+        cache_->store("cold-pass-counts", counts.str());
+    }
+
+    static bool
+    loadColdPass()
+    {
+        const auto counts = cache_->fetch("cold-pass-counts");
+        const auto document = cache_->fetch("cold-pass-document");
+        const auto errors = cache_->fetch("cold-pass-errors");
+        if (!counts || !document || !errors)
+            return false;
+        std::istringstream in(*counts);
+        in >> outcome_.ran >> outcome_.skipped >> outcome_.failures >>
+            outcome_.cache.hits >> outcome_.cache.misses >>
+            outcome_.cache.skips;
+        all_ = *document;
+        errors_ = *errors;
+        return !in.fail();
     }
 
     static RunAllOptions
@@ -262,6 +315,7 @@ class FleetCatalogTest : public ::testing::Test
     }
 
     static std::string cache_dir_;
+    static bool owns_store_;
     static ResultCache *cache_;
     static RunAllOutcome outcome_;
     static std::string all_;
@@ -269,6 +323,7 @@ class FleetCatalogTest : public ::testing::Test
 };
 
 std::string FleetCatalogTest::cache_dir_;
+bool FleetCatalogTest::owns_store_ = true;
 ResultCache *FleetCatalogTest::cache_ = nullptr;
 RunAllOutcome FleetCatalogTest::outcome_;
 std::string FleetCatalogTest::all_;

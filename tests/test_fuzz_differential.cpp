@@ -264,19 +264,21 @@ writeFuzzMatrix()
 } // namespace
 
 /**
- * Randomized read/write traces: the per-access, accessBatch and
- * replayBatch paths must agree on every dirty bit and every write-back,
- * for all six policies under all four write-policy combinations.  The
- * batch inner loops specialise the write path away entirely for
- * read-only traces, so this is the test that keeps the specialised
- * write-enabled loops honest.
+ * Batches over dirty lines: three identical sets take the same per-access
+ * loads and stores, then replay one load sequence through the
+ * per-access, accessBatch and replayBatch paths respectively, round
+ * after round.  The three must agree on every write-back, the dirty mask
+ * and the replacement state, for all six policies under all four
+ * write-policy combinations.  The batch paths carry loads only, so this
+ * is the test that keeps their dirty-victim bookkeeping honest.
  */
 TEST_P(WritePathFuzz, ThreePathsAgreeOnDirtyStateAndWritebacks)
 {
     const auto [kind, write_hit, write_miss] = GetParam();
     constexpr std::uint32_t kWays = 8;
     constexpr std::uint64_t kSeed = 20200415;
-    constexpr std::size_t kAccesses = 10'000;
+    constexpr int kRounds = 50;
+    constexpr std::size_t kPhase = 100; // accesses per phase and round
 
     CacheSet per_access(kWays, ReplState::make(kind, kWays, kSeed),
                         PlMode::Disabled, write_hit, write_miss);
@@ -285,64 +287,79 @@ TEST_P(WritePathFuzz, ThreePathsAgreeOnDirtyStateAndWritebacks)
     CacheSet replayed(kWays, ReplState::make(kind, kWays, kSeed),
                       PlMode::Disabled, write_hit, write_miss);
 
-    // ~1/3 stores over a tag space with steady eviction pressure.
-    std::vector<Addr> tags(kAccesses);
-    std::vector<std::uint8_t> writes(kAccesses);
+    // A tag space with steady eviction pressure.
     Xoshiro256 rng(kSeed ^ static_cast<std::uint64_t>(kind));
-    for (std::size_t i = 0; i < kAccesses; ++i) {
-        tags[i] = rng.below(kWays * 3 + 1);
-        writes[i] = rng.chance(1.0 / 3.0) ? 1 : 0;
-    }
+    const auto randomTag = [&] { return rng.below(kWays * 3 + 1); };
+    std::uint64_t writebacks = 0;      // per-access lane, both phases
+    std::uint64_t load_writebacks = 0; // per-access lane, load phases
+    std::vector<Addr> loads(kPhase);
+    std::vector<SetAccessResult> per_results(kPhase);
+    std::vector<SetAccessResult> batch_results(kPhase);
+    for (int round = 0; round < kRounds; ++round) {
+        // Store phase: ~1/3 stores, the same per-access trace on all
+        // three sets, so each enters the load phase with dirty lines.
+        for (std::size_t i = 0; i < kPhase; ++i) {
+            const Addr tag = randomTag();
+            const bool is_write = rng.chance(1.0 / 3.0);
+            const auto res = per_access.access(tag, 0, false, LockReq::None,
+                                               0, is_write);
+            batched.access(tag, 0, false, LockReq::None, 0, is_write);
+            replayed.access(tag, 0, false, LockReq::None, 0, is_write);
+            writebacks += res.dirty_writeback ? 1 : 0;
+        }
 
-    // Per-access lane (the oracle for the batch lanes).
-    std::uint64_t hits = 0, fills = 0, evictions = 0, writebacks = 0;
-    std::vector<SetAccessResult> per_results(kAccesses);
-    for (std::size_t i = 0; i < kAccesses; ++i) {
-        per_results[i] = per_access.access(tags[i], 0, false,
-                                           LockReq::None, 0,
-                                           writes[i] != 0);
-        hits += per_results[i].hit ? 1 : 0;
-        fills += per_results[i].filled ? 1 : 0;
-        evictions += per_results[i].evicted ? 1 : 0;
-        writebacks += per_results[i].dirty_writeback ? 1 : 0;
-    }
+        // Load phase, per-access lane (the oracle for the batch lanes).
+        for (Addr &tag : loads)
+            tag = randomTag();
+        std::uint64_t hits = 0, fills = 0, evictions = 0, load_wbs = 0;
+        for (std::size_t i = 0; i < kPhase; ++i) {
+            per_results[i] =
+                per_access.access(loads[i], 0, false, LockReq::None, 0);
+            hits += per_results[i].hit ? 1 : 0;
+            fills += per_results[i].filled ? 1 : 0;
+            evictions += per_results[i].evicted ? 1 : 0;
+            load_wbs += per_results[i].dirty_writeback ? 1 : 0;
+        }
+        writebacks += load_wbs;
+        load_writebacks += load_wbs;
 
-    // Batch lane: every per-access field, including the write-path ones.
-    std::vector<SetAccessResult> batch_results(kAccesses);
-    batched.accessBatch(tags, writes, batch_results);
-    for (std::size_t i = 0; i < kAccesses; ++i) {
-        ASSERT_EQ(batch_results[i].hit, per_results[i].hit) << i;
-        ASSERT_EQ(batch_results[i].way, per_results[i].way) << i;
-        ASSERT_EQ(batch_results[i].filled, per_results[i].filled) << i;
-        ASSERT_EQ(batch_results[i].evicted, per_results[i].evicted) << i;
-        ASSERT_EQ(batch_results[i].dirty_writeback,
-                  per_results[i].dirty_writeback)
-            << "write-back divergence at access " << i;
-        ASSERT_EQ(batch_results[i].write_no_alloc,
-                  per_results[i].write_no_alloc) << i;
-        if (per_results[i].evicted)
-            ASSERT_EQ(batch_results[i].evicted_tag,
-                      per_results[i].evicted_tag) << i;
-    }
+        // Batch lane: every per-access field, write-backs included.
+        batched.accessBatch(loads, batch_results);
+        for (std::size_t i = 0; i < kPhase; ++i) {
+            ASSERT_EQ(batch_results[i].hit, per_results[i].hit) << i;
+            ASSERT_EQ(batch_results[i].way, per_results[i].way) << i;
+            ASSERT_EQ(batch_results[i].filled, per_results[i].filled) << i;
+            ASSERT_EQ(batch_results[i].evicted, per_results[i].evicted)
+                << i;
+            ASSERT_EQ(batch_results[i].dirty_writeback,
+                      per_results[i].dirty_writeback)
+                << "write-back divergence in round " << round
+                << " at load " << i;
+            if (per_results[i].evicted) {
+                ASSERT_EQ(batch_results[i].evicted_tag,
+                          per_results[i].evicted_tag) << i;
+            }
+        }
 
-    // Replay lane: aggregate write-back tally.
-    const auto stats = replayed.replayBatch(tags, writes);
-    EXPECT_EQ(stats.accesses, kAccesses);
-    EXPECT_EQ(stats.hits, hits);
-    EXPECT_EQ(stats.fills, fills);
-    EXPECT_EQ(stats.evictions, evictions);
-    EXPECT_EQ(stats.dirty_writebacks, writebacks);
+        // Replay lane: aggregate tallies.
+        const auto stats = replayed.replayBatch(loads);
+        ASSERT_EQ(stats.accesses, kPhase);
+        ASSERT_EQ(stats.hits, hits);
+        ASSERT_EQ(stats.fills, fills);
+        ASSERT_EQ(stats.evictions, evictions);
+        ASSERT_EQ(stats.dirty_writebacks, load_wbs) << "round " << round;
 
-    // End state: dirty masks and replacement state bit-identical.
-    EXPECT_EQ(per_access.dirtyMask(), batched.dirtyMask());
-    EXPECT_EQ(per_access.dirtyMask(), replayed.dirtyMask());
-    EXPECT_EQ(per_access.validMask(), batched.validMask());
-    EXPECT_EQ(per_access.validMask(), replayed.validMask());
-    EXPECT_EQ(per_access.repl(), batched.repl());
-    EXPECT_EQ(per_access.repl(), replayed.repl());
-    for (std::uint32_t w = 0; w < kWays; ++w) {
-        EXPECT_EQ(per_access.line(w).tag, batched.line(w).tag) << w;
-        EXPECT_EQ(per_access.line(w).tag, replayed.line(w).tag) << w;
+        // State: dirty masks and replacement state bit-identical.
+        ASSERT_EQ(per_access.dirtyMask(), batched.dirtyMask()) << round;
+        ASSERT_EQ(per_access.dirtyMask(), replayed.dirtyMask()) << round;
+        ASSERT_EQ(per_access.validMask(), batched.validMask()) << round;
+        ASSERT_EQ(per_access.validMask(), replayed.validMask()) << round;
+        ASSERT_EQ(per_access.repl(), batched.repl()) << round;
+        ASSERT_EQ(per_access.repl(), replayed.repl()) << round;
+        for (std::uint32_t w = 0; w < kWays; ++w) {
+            ASSERT_EQ(per_access.line(w).tag, batched.line(w).tag) << w;
+            ASSERT_EQ(per_access.line(w).tag, replayed.line(w).tag) << w;
+        }
     }
 
     // Write-policy invariants the whole trace must respect.
@@ -350,6 +367,9 @@ TEST_P(WritePathFuzz, ThreePathsAgreeOnDirtyStateAndWritebacks)
         EXPECT_EQ(per_access.dirtyMask(), 0u)
             << "a write-through set must never hold a dirty line";
         EXPECT_EQ(writebacks, 0u);
+    } else {
+        EXPECT_GT(load_writebacks, 0u)
+            << "the load phases must evict lines the stores dirtied";
     }
     EXPECT_EQ(per_access.dirtyMask() & ~per_access.validMask(), 0u)
         << "dirty bits must annotate valid lines only";

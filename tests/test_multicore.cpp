@@ -223,6 +223,19 @@ TEST(MultiCoreHierarchy, RejectsZeroCores)
     EXPECT_THROW(MultiCoreHierarchy h(cfg), std::invalid_argument);
 }
 
+TEST(MultiCoreHierarchy, RejectsMoreThan64Cores)
+{
+    MultiCoreConfig cfg = tinyConfig();
+    cfg.cores = 64;
+    EXPECT_NO_THROW(MultiCoreHierarchy h(cfg));
+    // Rejected up front, before any per-core cache is allocated.
+    for (const std::uint32_t cores : {65u, 100'000u, 0xffff'ffffu}) {
+        cfg.cores = cores;
+        EXPECT_THROW(MultiCoreHierarchy h(cfg), std::invalid_argument)
+            << cores;
+    }
+}
+
 // ----------------------------------------------------------- scheduler
 
 namespace {

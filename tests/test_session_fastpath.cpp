@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <thread>
 
 #include "channel/calibration.hpp"
@@ -182,6 +183,18 @@ TEST(TopologyPool, SurvivesInterleavedTopologies)
 
     expectSameSession(smt_a, smt_b);
     expectSameSession(xcore_a, xcore_b);
+}
+
+TEST(TopologyPool, RejectsOversizedCoreCountsWithoutWrapping)
+{
+    // Party cores plus noise cores past the hierarchy's 64-core limit are
+    // refused, including noise counts whose 32-bit sum would wrap round
+    // to a one- or zero-core topology.
+    for (const std::uint32_t noise : {63u, 0xffff'fffeu, 0xffff'ffffu}) {
+        SessionConfig config = xcoreConfig();
+        config.noise_cores = noise;
+        EXPECT_THROW(runSession(config), std::invalid_argument) << noise;
+    }
 }
 
 // ----------------------------------------------------------- batch walks
