@@ -6,6 +6,8 @@
 #include "channel/lru_channel.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <tuple>
 
 namespace lruleak::channel {
 
@@ -188,17 +190,95 @@ LruSender::LruSender(const ChannelLayout &layout, SenderConfig config)
             kick_.push_back(sim::MemRef{a, a, kSenderThread, false});
         }
     }
+
+    if (config_.ts == 0)
+        throw std::invalid_argument("LruSender: Ts must be positive");
+    const std::size_t size = config_.message.size();
+    if (size != 0)
+        total_bits_ = size * (config_.infinite ? ~std::size_t{0} / size
+                                               : config_.repeats);
+    for (std::size_t i = 1; i < size; ++i)
+        uniform_ = uniform_ && config_.message[i] == config_.message[0];
+
+    for (int bit : {0, 1}) {
+        auto &refs = steady_refs_[bit];
+        if (config_.write_polarity || bit == 1) {
+            sim::MemRef ref = line_;
+            if (config_.write_polarity)
+                ref.is_write = bit == 1;
+            refs.push_back(ref);
+        }
+        refs.insert(refs.end(), stack_.begin(), stack_.end());
+    }
 }
 
 int
 LruSender::currentBit(std::size_t index) const
 {
-    const std::size_t total = config_.message.size() *
-        (config_.infinite ? ~std::size_t{0} / config_.message.size()
-                          : config_.repeats);
-    if (config_.message.empty() || index >= total)
+    if (index >= total_bits_)
         return -1;
     return config_.message[index % config_.message.size()];
+}
+
+std::pair<std::size_t, std::uint64_t>
+LruSender::bitAt(std::uint64_t now) const
+{
+    if (now < bit_deadline_)
+        return {bit_index_, bit_deadline_};
+    const std::uint64_t behind = (now - bit_deadline_) / config_.ts + 1;
+    return {bit_index_ + behind, bit_deadline_ + behind * config_.ts};
+}
+
+void
+LruSender::catchUp(std::uint64_t now)
+{
+    if (now < bit_deadline_)
+        return;
+    std::tie(bit_index_, bit_deadline_) = bitAt(now);
+    sub_step_ = 0;
+    fresh_bit_ = true;
+}
+
+exec::SteadyRun
+LruSender::steadyRun(std::uint64_t now) const
+{
+    // An iteration starting inside a bit ends its spin at that bit's
+    // deadline only if now + encode_gap cannot fall short of it.
+    if (phase_ != Phase::Encode || !started_ || sub_step_ != 0 ||
+        config_.batch_walks || config_.kick_private ||
+        config_.encode_gap < config_.ts)
+        return {};
+    const auto [index, deadline] = bitAt(now);
+    const int bit = currentBit(index);
+    if (bit < 0)
+        return {};
+    // One iteration per bit, for as long as the bit value repeats.
+    std::uint64_t iterations = total_bits_ - index;
+    if (!uniform_) {
+        iterations = 0;
+        while (currentBit(index + iterations) == bit)
+            ++iterations;
+    }
+    return exec::SteadyRun{steady_refs_[bit], deadline, config_.ts,
+                           iterations};
+}
+
+void
+LruSender::skipSteady(std::uint64_t now, std::uint64_t iterations)
+{
+    catchUp(now);
+    if (iterations > 1) {
+        bit_index_ += iterations - 1;
+        bit_deadline_ += (iterations - 1) * config_.ts;
+        fresh_bit_ = true;
+    }
+    const int bit = currentBit(bit_index_);
+    if (config_.write_polarity || bit == 1)
+        encode_levels_.insert(encode_levels_.end(), iterations,
+                              sim::HitLevel::L1);
+    if (bit == 1 && !config_.write_polarity)
+        fresh_bit_ = false;
+    awaiting_encode_ = false;
 }
 
 exec::Op
@@ -241,12 +321,7 @@ LruSender::next(std::uint64_t now)
     }
 
     // Advance to the bit that owns the current instant.
-    while (now >= bit_deadline_) {
-        ++bit_index_;
-        bit_deadline_ += config_.ts;
-        sub_step_ = 0;
-        fresh_bit_ = true;
-    }
+    catchUp(now);
 
     const int bit = currentBit(bit_index_);
     if (bit < 0) {

@@ -23,6 +23,7 @@
 #define LRULEAK_CHANNEL_LRU_CHANNEL_HPP
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "channel/bitstring.hpp"
@@ -160,6 +161,16 @@ class LruSender : public exec::ThreadProgram
     exec::Op next(std::uint64_t now) override;
     void onResult(const exec::OpResult &result) override;
 
+    /**
+     * Idling between bit deadlines is a steady run when encode_gap >=
+     * Ts: every iteration then makes the same accesses (encode access
+     * if the bit asks for one, then the stack work) and spins to the
+     * next bit deadline, for as long as the bit value repeats.  Not
+     * declared for batch_walks or kick_private senders.
+     */
+    exec::SteadyRun steadyRun(std::uint64_t now) const override;
+    void skipSteady(std::uint64_t now, std::uint64_t iterations) override;
+
     /** TSC at which bit 0 started (for decoder alignment). */
     std::uint64_t startTsc() const { return start_tsc_; }
 
@@ -189,6 +200,12 @@ class LruSender : public exec::ThreadProgram
     /** The bit currently being sent, or -1 past the end. */
     int currentBit(std::size_t index) const;
 
+    /** Index and deadline of the bit that owns @p now (O(1)). */
+    std::pair<std::size_t, std::uint64_t> bitAt(std::uint64_t now) const;
+
+    /** Advance bit_index_/bit_deadline_ to the bit that owns @p now. */
+    void catchUp(std::uint64_t now);
+
     ChannelLayout layout_;
     SenderConfig config_;
     sim::MemRef line_;
@@ -196,6 +213,10 @@ class LruSender : public exec::ThreadProgram
     std::vector<sim::MemRef> kick_; //!< kick_private: private-copy expellers
     /** batch_walks: reusable per-iteration run buffer (encode first). */
     std::vector<sim::MemRef> iter_refs_;
+    /** One steady iteration's accesses, by bit value. */
+    std::vector<sim::MemRef> steady_refs_[2];
+    std::uint64_t total_bits_ = 0; //!< bits to send (message x repeats)
+    bool uniform_ = true;          //!< every message bit is the same
 
     Phase phase_ = Phase::Prewarm;
     std::uint32_t pre_step_ = 0;   //!< prewarm sub-step

@@ -153,6 +153,71 @@ Engine::executeOp(unsigned idx, const Op &op, std::uint64_t start)
     return 0;
 }
 
+std::uint64_t
+Engine::advanceSteadyRun(unsigned idx, std::uint64_t now,
+                         std::uint64_t horizon)
+{
+    Thread &t = threads_[idx];
+    const SteadyRun run = t.program->steadyRun(now);
+    if (run.iterations == 0 || run.deadline > horizon)
+        return 0;
+
+    // An iteration is as declared only if its accesses finish before
+    // its deadline.  Bound them by the costliest jitter draw so no
+    // draw has to be taken back: iteration 0 starts at now, each later
+    // one at the previous deadline.
+    const std::uint64_t n = run.refs.size();
+    const std::uint64_t hit_cost =
+        uarch_.latency(sim::HitLevel::L1) + config_.op_overhead;
+    const std::uint64_t max_busy =
+        n * (hit_cost + (config_.jitter ? config_.jitter - 1 : 0));
+    if (now + max_busy >= run.deadline)
+        return 0;
+    std::uint64_t k = 1;
+    if (run.period > max_busy)
+        k = std::min(run.iterations,
+                     (horizon - run.deadline) / run.period + 1);
+
+    if (!port_.creditFixedPoint(t.core, run.refs, k))
+        return 0;
+
+    // Replay the per-op charges: one jitter draw per access, in order.
+    // The last iteration's draws also place its SpinUntil yield.
+    const std::uint64_t accesses = k * n;
+    std::uint64_t jitter = 0;
+    std::uint64_t last_jitter = 0;
+    if (config_.jitter) {
+        for (std::uint64_t a = 0; a < accesses; ++a) {
+            const std::uint64_t draw = rng_.below(config_.jitter);
+            jitter += draw;
+            if (a + n >= accesses)
+                last_jitter += draw;
+        }
+    }
+    const std::uint64_t last_start =
+        k == 1 ? now : run.deadline + (k - 2) * run.period;
+    const std::uint64_t deadline = run.deadline + (k - 1) * run.period;
+    t.clock = last_start + n * hit_cost + last_jitter;
+    t.spin_until = deadline;
+    t.stats.accesses += accesses;
+    t.stats.spins += k;
+    t.stats.busy_cycles += accesses * hit_cost + jitter;
+    if (config_.audit_every != 0) {
+        // The state is unchanged throughout, so the audits the per-op
+        // path would have sampled all see the same state: one suffices.
+        const std::uint64_t ops = ops_since_audit_ + accesses;
+        ops_since_audit_ = ops % config_.audit_every;
+        if (ops >= config_.audit_every) {
+            if (auto violation = port_.auditInclusion())
+                throw std::logic_error(*violation);
+        }
+    }
+    t.program->skipSteady(now, k);
+    noteTime(deadline);
+    compressed_ += k;
+    return deadline;
+}
+
 void
 Engine::stepClockThread(unsigned idx)
 {
@@ -443,6 +508,39 @@ TimeSlice::runInSlice(Engine &engine)
     engine.noteTime(now_);
 }
 
+void
+TimeSlice::runSliceEvents(Engine &engine)
+{
+    // Slice-event fast path (root policy only): within a slice no other
+    // actor has events — only the resident thread runs and ticks/
+    // background work are serviced inside runInSlice — so looping here
+    // executes the exact per-op sequence without a step()/
+    // nextEventTime() round trip per op.  When the primary finishes,
+    // stop before closeSlice: per-op stepping never reaches the switch
+    // either (the run loop exits first), and the switch's RNG draws
+    // must not happen.
+    const unsigned idx = threads_[active_];
+    const auto &t = engine.thread(idx);
+    while (now_ < slice_end_ && !t.done) {
+        // At an op boundary with no tick due, try to advance a proven
+        // steady run up to the next tick or slice end.
+        if (t.spin_until <= now_ &&
+            (config_.tick_period == 0 || now_ < next_tick_)) {
+            const std::uint64_t horizon =
+                config_.tick_period == 0 ? slice_end_
+                                         : std::min(slice_end_, next_tick_);
+            if (const std::uint64_t end =
+                    engine.advanceSteadyRun(idx, now_, horizon)) {
+                now_ = end;
+                continue;
+            }
+        }
+        runInSlice(engine);
+    }
+    if (!engine.thread(engine.primary()).done)
+        closeSlice(engine);
+}
+
 bool
 TimeSlice::step(Engine &engine)
 {
@@ -452,21 +550,8 @@ TimeSlice::step(Engine &engine)
         if (now_ >= engine.config().max_cycles)
             return false;
         openSlice(engine);
-        if (state_ == State::InSlice && config_.slice_events && !nested_) {
-            // Slice-event fast path (root policy only): within a slice
-            // no other actor has events — only the resident thread runs
-            // and ticks/background work are serviced inside runInSlice —
-            // so looping here executes the exact per-op sequence without
-            // a step()/nextEventTime() round trip per op.  When the
-            // primary finishes, stop before closeSlice: per-op stepping
-            // never reaches the switch either (the run loop exits
-            // first), and the switch's RNG draws must not happen.
-            const auto &t = engine.thread(threads_[active_]);
-            while (now_ < slice_end_ && !t.done)
-                runInSlice(engine);
-            if (!engine.thread(engine.primary()).done)
-                closeSlice(engine);
-        }
+        if (state_ == State::InSlice && config_.slice_events && !nested_)
+            runSliceEvents(engine);
         return true;
     }
     if (now_ >= slice_end_ ||

@@ -214,6 +214,24 @@ class Engine
                             std::uint64_t start);
 
     /**
+     * Run compression: thread @p idx is at an op boundary at @p now (no
+     * spin pending, nothing else due before @p horizon).  If its program
+     * declares a steady run (ThreadProgram::steadyRun) and the port
+     * proves the iteration a fixed point (AccessPort::creditFixedPoint),
+     * advance the largest number of whole iterations that end at or
+     * before @p horizon, within the declared count, as one event: the
+     * same jitter draws, costs, telemetry, clocks and program state as
+     * executing them op by op.  Returns the time the last compressed
+     * iteration's spin ends, or 0 when nothing was compressed (no
+     * declaration, no whole iteration fits, or the proof is refused).
+     */
+    std::uint64_t advanceSteadyRun(unsigned idx, std::uint64_t now,
+                                   std::uint64_t horizon);
+
+    /** Iterations advanced by advanceSteadyRun since construction. */
+    std::uint64_t compressedIterations() const { return compressed_; }
+
+    /**
      * One clock-arbitrated step of thread @p idx: yield the next op at
      * the thread's private clock, then either finish it (Done), busy-
      * wait (clock = max(clock + 1, until)) or execute and charge the
@@ -243,6 +261,7 @@ class Engine
     sim::Xoshiro256 rng_;
     std::uint64_t now_ = 0;
     std::uint64_t ops_since_audit_ = 0;
+    std::uint64_t compressed_ = 0;
     std::vector<Thread> threads_;
     unsigned primary_ = 0;
     std::vector<sim::MemRef> burst_refs_;     //!< reused burst buffer
@@ -310,12 +329,21 @@ struct TimeSlicePolicyConfig
      * nested under LowestClock), one step() call advances the whole
      * slice — open, run the resident thread to the slice end, close —
      * instead of one op per step.  Within a slice only the resident
-     * thread ever runs, so the op order, every RNG draw and every
-     * latency are identical to per-op stepping (the differential suite
-     * in tests/test_slice_events.cpp proves it); only the step()/
-     * nextEventTime() call cadence changes.  Nested instances ignore
-     * this and stay per-op: the parent must be able to interleave
-     * other cores' shared-LLC traffic between ops.
+     * thread ever runs, so nothing else can act between its ops.
+     *
+     * Inside the slice the fast path also compresses steady runs: at
+     * an op boundary with no tick due, a program that declares one
+     * (ThreadProgram::steadyRun — the LRU sender idling on L1 hits) and
+     * whose iteration the port proves a fixed point
+     * (AccessPort::creditFixedPoint) advances every whole iteration
+     * that ends by the next tick or the slice end as one event
+     * (Engine::advanceSteadyRun).  Ticks, background slices and slice
+     * boundaries always run op by op.  The op order, every RNG draw,
+     * every latency, the clocks, the telemetry and the cache state are
+     * identical to per-op stepping (tests/test_slice_events.cpp proves
+     * it against `slice_events = false`, the per-op reference).  Nested
+     * instances ignore this and stay per-op: the parent must be able to
+     * interleave other cores' shared-LLC traffic between ops.
      */
     bool slice_events = true;
 
@@ -364,6 +392,8 @@ class TimeSlice final : public ArbitrationPolicy
     void openSlice(Engine &engine);
     void closeSlice(Engine &engine);
     void runInSlice(Engine &engine);
+    /** Root fast path: run the opened slice to its end, then close it. */
+    void runSliceEvents(Engine &engine);
 
     enum class State
     {

@@ -162,6 +162,25 @@ struct OpResult
 };
 
 /**
+ * A steady run a program declares at the start of a loop iteration,
+ * for the engine's run compression (see TimeSlicePolicyConfig::
+ * slice_events).  It promises: from now, iteration i (i = 0, 1, ...,
+ * iterations - 1) performs each of @c refs as a plain Access op, back to
+ * back, then yields SpinUntil(deadline + i * period), and iteration
+ * i + 1 starts when that spin ends — provided iteration i's accesses
+ * complete before its deadline and each is an L1 hit without
+ * write-backs.  `iterations == 0` declares nothing.
+ */
+struct SteadyRun
+{
+    std::span<const sim::MemRef> refs; //!< one iteration's accesses (a
+                                       //!< view into program storage)
+    std::uint64_t deadline = 0;   //!< end of iteration 0's spin (TSC)
+    std::uint64_t period = 0;     //!< deadline distance of iterations
+    std::uint64_t iterations = 0; //!< iterations the promise covers
+};
+
+/**
  * A simulated thread.  @c next is called whenever the thread is runnable;
  * @c onResult delivers the outcome of the op that just executed.
  */
@@ -175,6 +194,32 @@ class ThreadProgram
 
     /** Outcome of the last Access/Measure/Flush. */
     virtual void onResult(const OpResult &result) { (void)result; }
+
+    /**
+     * The steady run that starts if next() is called at @p now (see
+     * SteadyRun).  Must not change the program's state.  Default: none,
+     * so the program is always stepped op by op.
+     */
+    virtual SteadyRun
+    steadyRun(std::uint64_t now) const
+    {
+        (void)now;
+        return {};
+    }
+
+    /**
+     * Advance the program's state past the first @p iterations
+     * iterations of steadyRun(@p now), exactly as next()/onResult()
+     * would have for those ops with every access an L1 hit and no
+     * write-backs.  Only called after steadyRun(@p now) declared at
+     * least @p iterations iterations.
+     */
+    virtual void
+    skipSteady(std::uint64_t now, std::uint64_t iterations)
+    {
+        (void)now;
+        (void)iterations;
+    }
 
     /** The scheduler's thread id for this program's accesses. */
     sim::ThreadId threadId() const { return thread_id_; }

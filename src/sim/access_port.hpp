@@ -97,6 +97,27 @@ class AccessPort
     }
 
     /**
+     * Steady-run proof for the engine's run compression: would
+     * accessing @p refs from @p core, in order, from the current state
+     * be a pure fixed point (every ref an L1 hit, no write-back, no
+     * write-through forward, no prefetch, the touched sets unchanged)?
+     * If so, the hit counters are credited as if the refs had been
+     * accessed @p times over — the state itself is already what those
+     * accesses would leave — and true is returned; otherwise nothing
+     * changes.  The default refuses: a port that cannot prove the
+     * fixed point is stepped op by op.
+     */
+    virtual bool
+    creditFixedPoint(std::uint32_t core, std::span<const MemRef> refs,
+                     std::uint64_t times)
+    {
+        (void)core;
+        (void)refs;
+        (void)times;
+        return false;
+    }
+
+    /**
      * clflush: remove the line from every cache of every core.  Reports
      * presence and whether any dropped copy was dirty (the flush then
      * stalls on the write-back — the `flush-dirty` channel observable).
@@ -134,6 +155,13 @@ class SingleCorePort final : public AccessPort
     {
         const auto res = hierarchy_.access(ref, lock_req);
         return PortAccess{res.level, res.writebacks};
+    }
+
+    bool
+    creditFixedPoint(std::uint32_t, std::span<const MemRef> refs,
+                     std::uint64_t times) override
+    {
+        return hierarchy_.creditFixedPoint(refs, times);
     }
 
     CacheFlushResult

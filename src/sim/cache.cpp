@@ -225,6 +225,47 @@ Cache::access(const MemRef &ref, LockReq lock_req)
     return res;
 }
 
+bool
+Cache::creditFixedPoint(std::span<const MemRef> refs, std::uint64_t times)
+{
+    // Secure modes route or fill outside the touched sets; PL lock
+    // bits are refused too, so the proof never reasons about locks.
+    if (config_.secure != SecureMode::None || pl_mode_ != PlMode::Disabled)
+        return false;
+    std::size_t used = 0;
+    for (const MemRef &ref : refs) {
+        const std::uint32_t set = layout_.setIndex(ref.vaddr);
+        std::size_t i = 0;
+        while (i < used && dry_index_[i] != set)
+            ++i;
+        if (i == used) {
+            if (used < dry_sets_.size()) {
+                dry_index_[used] = set;
+                dry_sets_[used] = sets_[set];
+            } else {
+                dry_index_.push_back(set);
+                dry_sets_.push_back(sets_[set]);
+            }
+            ++used;
+        }
+        const std::uint16_t utag =
+            way_predictor_ ? WayPredictor::utag(ref.vaddr) : 0;
+        const SetAccessResult sr =
+            dry_sets_[i].access(layout_.tag(ref.paddr), utag,
+                                way_predictor_, LockReq::None, ref.thread,
+                                ref.is_write);
+        if (!sr.hit || sr.utag_mismatch)
+            return false;
+    }
+    for (std::size_t i = 0; i < used; ++i) {
+        if (!(dry_sets_[i] == sets_[dry_index_[i]]))
+            return false;
+    }
+    for (const MemRef &ref : refs)
+        counters_.recordHits(ref.thread, times);
+    return true;
+}
+
 CacheAccessResult
 Cache::prefetch(const MemRef &ref)
 {

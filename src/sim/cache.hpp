@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "sim/address.hpp"
@@ -113,6 +114,16 @@ class Cache
     std::uint64_t sharpAlarmsTotal() const;
     std::uint64_t sharpForcedTotal() const;
     std::uint64_t sharpDeniedTotal() const;
+
+    /**
+     * Steady-run proof: dry-run @p refs, in order, on copies of the sets
+     * they touch.  When every ref hits with a matching utag and every
+     * touched set is equal to its original afterwards, the refs are a
+     * fixed point of this level: credit each one @p times hits and
+     * return true.  Otherwise change nothing and return false; a
+     * secure mode or PL lock bits always refuse.
+     */
+    bool creditFixedPoint(std::span<const MemRef> refs, std::uint64_t times);
 
     /** Prefetch fill: installs the line, updates LRU, no perf counters. */
     CacheAccessResult prefetch(const MemRef &ref);
@@ -227,6 +238,10 @@ class Cache
     std::vector<std::uint64_t> sharp_alarms_;
     std::vector<std::uint64_t> sharp_forced_;
     std::vector<std::uint64_t> sharp_denied_;
+    // creditFixedPoint scratch: touched set indices and their copies,
+    // reused so a proof allocates nothing once warm.
+    std::vector<std::uint32_t> dry_index_;
+    std::vector<CacheSet> dry_sets_;
 };
 
 } // namespace lruleak::sim

@@ -141,6 +141,9 @@ class CacheSet
     CacheSet(CacheSet &&) noexcept = default;
     CacheSet &operator=(CacheSet &&) noexcept = default;
 
+    /** Member-wise equality: same lines, bits, utags and ReplState. */
+    bool operator==(const CacheSet &) const = default;
+
     /** Find the way holding @p tag without touching any state. */
     std::optional<std::uint32_t> probe(Addr tag) const;
 

@@ -121,6 +121,21 @@ CacheHierarchy::access(const MemRef &ref, LockReq lock_req)
     return res;
 }
 
+bool
+CacheHierarchy::creditFixedPoint(std::span<const MemRef> refs,
+                                 std::uint64_t times)
+{
+    if (prefetcher_)
+        return false;
+    if (config_.l1.write_hit == WriteHitPolicy::WriteThrough) {
+        for (const MemRef &ref : refs) {
+            if (ref.is_write)
+                return false;
+        }
+    }
+    return l1_->creditFixedPoint(refs, times);
+}
+
 CacheFlushResult
 CacheHierarchy::flush(const MemRef &ref)
 {

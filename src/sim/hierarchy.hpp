@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sim/cache.hpp"
@@ -80,6 +81,20 @@ class CacheHierarchy
      */
     HierarchyAccessResult access(const MemRef &ref,
                                  LockReq lock_req = LockReq::None);
+
+    /**
+     * Would demand-accessing @p refs, in order, from the current state
+     * be a pure fixed point?  That needs every ref to be an L1 hit with
+     * a matching utag, no write-back, no write-through forward, no
+     * prefetch, and every touched L1 set equal afterwards.  If so, the
+     * L1 counters are credited @p times hits per ref — exactly what
+     * @p times passes over the refs would record — and true is
+     * returned; otherwise nothing changes.  Refused whenever the proof
+     * cannot be made from the L1 sets alone: a prefetcher (own stream
+     * state), a secure L1 (routing and fills elsewhere), PL lock bits,
+     * or a store into a write-through L1.
+     */
+    bool creditFixedPoint(std::span<const MemRef> refs, std::uint64_t times);
 
     /**
      * clflush: remove the line from every level.  Reports whether any

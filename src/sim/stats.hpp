@@ -69,6 +69,17 @@ class PerfCounters
         slot(thread).record(hit);
     }
 
+    /** @p count hits by @p thread at once (a proven steady run). */
+    void
+    recordHits(ThreadId thread, std::uint64_t count)
+    {
+        LevelStats &s = slot(thread);
+        total_.accesses += count;
+        total_.hits += count;
+        s.accesses += count;
+        s.hits += count;
+    }
+
     /** One dirty line drained (evicted, flushed or written through). */
     void
     recordWriteback(ThreadId thread)

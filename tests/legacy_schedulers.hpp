@@ -13,7 +13,10 @@
  * repo uses for the legacy virtual ReplacementPolicy vs sim::ReplState.
  *
  * Do not "fix" or modernise this code: its value is being the seed
- * behaviour, byte for byte.
+ * behaviour, byte for byte.  The one addition is the AccessRun and
+ * MeasureFlush cases of each executeOp, ops the seed did not have:
+ * written from the op contract in exec/op.hpp rather than copied from
+ * the engine, so the differential suite covers every op kind.
  */
 
 #ifndef LRULEAK_TESTS_LEGACY_SCHEDULERS_HPP
@@ -136,6 +139,40 @@ class LegacySmtScheduler
             out.tsc = start;
             prog.onResult(out);
             return uarch_.mem_latency + config_.op_overhead + jitter;
+          }
+          case exec::OpKind::AccessRun: {
+            // Each access is charged like a lone Access op (its own
+            // jitter draw; the one above belongs to the first), and the
+            // run reports once, with the first access's level.
+            if (op.run_refs.empty())
+                return 0;
+            exec::OpResult out;
+            out.kind = exec::OpKind::AccessRun;
+            out.tsc = start;
+            std::uint64_t cost = 0;
+            for (std::size_t i = 0; i < op.run_refs.size(); ++i) {
+                const auto res = hierarchy_.access(op.run_refs[i]);
+                if (i == 0)
+                    out.level = res.level;
+                cost += uarch_.latency(res.level) + config_.op_overhead +
+                        (i == 0 ? jitter
+                                : (config_.jitter
+                                       ? rng_.below(config_.jitter)
+                                       : 0));
+            }
+            prog.onResult(out);
+            return cost;
+          }
+          case exec::OpKind::MeasureFlush: {
+            const auto fr = hierarchy_.flush(op.ref);
+            exec::OpResult out;
+            out.kind = exec::OpKind::MeasureFlush;
+            out.level = fr.dirty ? sim::HitLevel::Memory : sim::HitLevel::L1;
+            out.measured = model_.flushMeasure(fr.dirty, rng_);
+            out.tsc = start;
+            prog.onResult(out);
+            return uarch_.mem_latency + config_.op_overhead + jitter +
+                   (fr.dirty ? uarch_.wb_latency : 0);
           }
           case exec::OpKind::SpinUntil:
           case exec::OpKind::Done:
@@ -286,6 +323,40 @@ class LegacyTimeSliceScheduler
             out.tsc = start;
             prog.onResult(out);
             return uarch_.mem_latency + config_.op_overhead + jitter;
+          }
+          case exec::OpKind::AccessRun: {
+            // Each access is charged like a lone Access op (its own
+            // jitter draw; the one above belongs to the first), and the
+            // run reports once, with the first access's level.
+            if (op.run_refs.empty())
+                return 0;
+            exec::OpResult out;
+            out.kind = exec::OpKind::AccessRun;
+            out.tsc = start;
+            std::uint64_t cost = 0;
+            for (std::size_t i = 0; i < op.run_refs.size(); ++i) {
+                const auto res = hierarchy_.access(op.run_refs[i]);
+                if (i == 0)
+                    out.level = res.level;
+                cost += uarch_.latency(res.level) + config_.op_overhead +
+                        (i == 0 ? jitter
+                                : (config_.jitter
+                                       ? rng_.below(config_.jitter)
+                                       : 0));
+            }
+            prog.onResult(out);
+            return cost;
+          }
+          case exec::OpKind::MeasureFlush: {
+            const auto fr = hierarchy_.flush(op.ref);
+            exec::OpResult out;
+            out.kind = exec::OpKind::MeasureFlush;
+            out.level = fr.dirty ? sim::HitLevel::Memory : sim::HitLevel::L1;
+            out.measured = model_.flushMeasure(fr.dirty, rng_);
+            out.tsc = start;
+            prog.onResult(out);
+            return uarch_.mem_latency + config_.op_overhead + jitter +
+                   (fr.dirty ? uarch_.wb_latency : 0);
           }
           case exec::OpKind::SpinUntil:
           case exec::OpKind::Done:
@@ -474,6 +545,42 @@ class LegacyMultiCoreScheduler
             prog.onResult(out);
             maybeAudit();
             return uarch_.mem_latency + config_.op_overhead + jitter;
+          }
+          case exec::OpKind::AccessRun: {
+            // Each access is charged like a lone Access op (its own
+            // jitter draw; the one above belongs to the first), and the
+            // run reports once, with the first access's level.
+            if (op.run_refs.empty())
+                return 0;
+            exec::OpResult out;
+            out.kind = exec::OpKind::AccessRun;
+            out.tsc = start;
+            std::uint64_t cost = 0;
+            for (std::size_t i = 0; i < op.run_refs.size(); ++i) {
+                const auto res = hierarchy_.access(core, op.run_refs[i]);
+                if (i == 0)
+                    out.level = res.level;
+                cost += uarch_.latency(res.level) + config_.op_overhead +
+                        (i == 0 ? jitter
+                                : (config_.jitter
+                                       ? rng_.below(config_.jitter)
+                                       : 0));
+            }
+            prog.onResult(out);
+            maybeAudit();
+            return cost;
+          }
+          case exec::OpKind::MeasureFlush: {
+            const auto fr = hierarchy_.flush(op.ref);
+            exec::OpResult out;
+            out.kind = exec::OpKind::MeasureFlush;
+            out.level = fr.dirty ? sim::HitLevel::Memory : sim::HitLevel::L1;
+            out.measured = model_.flushMeasure(fr.dirty, rng_);
+            out.tsc = start;
+            prog.onResult(out);
+            maybeAudit();
+            return uarch_.mem_latency + config_.op_overhead + jitter +
+                   (fr.dirty ? uarch_.wb_latency : 0);
           }
           case exec::OpKind::SpinUntil:
           case exec::OpKind::Done:

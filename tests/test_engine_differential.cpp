@@ -40,13 +40,24 @@ class RandomProgram : public ThreadProgram
         for (std::size_t i = 0; i < ops; ++i) {
             const std::uint64_t kind = rng.below(100);
             const sim::Addr line = base + rng.below(96) * 64;
-            if (kind < 60) {
+            if (kind < 50) {
                 script_.push_back(Op::access(sim::MemRef::load(line)));
-            } else if (kind < 75) {
+            } else if (kind < 58) {
+                // A short walk from the drawn line; the refs are
+                // stamped with the thread id at yield time.
+                std::vector<sim::MemRef> &run = runs_[script_.size()];
+                const std::uint64_t len = 1 + rng.below(6);
+                for (std::uint64_t j = 0; j < len; ++j)
+                    run.push_back(sim::MemRef::load(
+                        base + (line - base + j * 64 * 17) % (96 * 64)));
+                script_.push_back(Op::accessRun({}));
+            } else if (kind < 72) {
                 script_.push_back(
                     Op::measure(sim::MemRef::load(line), chain_));
-            } else if (kind < 85) {
+            } else if (kind < 80) {
                 script_.push_back(Op::flush(sim::MemRef::load(line)));
+            } else if (kind < 85) {
+                script_.push_back(Op::measureFlush(sim::MemRef::load(line)));
             } else {
                 // Relative spin; the deadline is fixed at yield time.
                 spin_gaps_[script_.size()] = 50 + rng.below(400);
@@ -64,6 +75,13 @@ class RandomProgram : public ThreadProgram
         const auto gap = spin_gaps_.find(index_);
         if (gap != spin_gaps_.end())
             op.until = now + gap->second;
+        const auto run = runs_.find(index_);
+        if (run != runs_.end()) {
+            run_buf_ = run->second;
+            for (sim::MemRef &ref : run_buf_)
+                ref.thread = threadId();
+            op.run_refs = run_buf_;
+        }
         ++index_;
         // Thread id is assigned by the scheduler under test; stamp the
         // refs here so counter attribution matches.
@@ -99,6 +117,8 @@ class RandomProgram : public ThreadProgram
         std::vector<sim::HitLevel>(7, sim::HitLevel::L1);
     std::vector<Op> script_;
     std::map<std::size_t, std::uint64_t> spin_gaps_;
+    std::map<std::size_t, std::vector<sim::MemRef>> runs_;
+    std::vector<sim::MemRef> run_buf_; //!< the yielded run's refs
     std::size_t index_ = 0;
     std::vector<OpResult> results_;
     std::vector<std::uint64_t> yield_times_;
@@ -117,6 +137,19 @@ expectSameTrace(const RandomProgram &a, const RandomProgram &b)
     ASSERT_EQ(a.yieldTimes().size(), b.yieldTimes().size());
     for (std::size_t i = 0; i < a.yieldTimes().size(); ++i)
         EXPECT_EQ(a.yieldTimes()[i], b.yieldTimes()[i]) << i;
+}
+
+/** The scripts must exercise every op kind the engine executes. */
+void
+expectEveryOpKind(const RandomProgram &p)
+{
+    bool run = false, measure_flush = false;
+    for (const OpResult &r : p.results()) {
+        run = run || r.kind == OpKind::AccessRun;
+        measure_flush = measure_flush || r.kind == OpKind::MeasureFlush;
+    }
+    EXPECT_TRUE(run);
+    EXPECT_TRUE(measure_flush);
 }
 
 void
@@ -154,6 +187,7 @@ TEST(EngineDifferential, RoundRobinSmtMatchesLegacySmtScheduler)
         const auto engine_end = engine.run(b0, b1, 1);
 
         EXPECT_EQ(legacy_end, engine_end) << "seed " << seed;
+        expectEveryOpKind(b0);
         expectSameTrace(a0, b0);
         expectSameTrace(a1, b1);
         for (sim::ThreadId t : {0u, 1u}) {
@@ -211,6 +245,7 @@ TEST(EngineDifferential, TimeSliceMatchesLegacyTimeSliceScheduler)
         const auto engine_end = engine.run(b0, b1, 1);
 
         EXPECT_EQ(legacy_end, engine_end) << "seed " << seed;
+        expectEveryOpKind(b0);
         expectSameTrace(a0, b0);
         expectSameTrace(a1, b1);
         for (sim::ThreadId t :
@@ -267,6 +302,7 @@ TEST(EngineDifferential, LowestClockMatchesLegacyMultiCoreScheduler)
         const auto engine_end = engine.run(b_specs, /*primary=*/1);
 
         EXPECT_EQ(legacy_end, engine_end) << "seed " << seed;
+        expectEveryOpKind(*bs[0]);
         for (std::uint32_t c = 0; c < kCores; ++c) {
             expectSameTrace(*as[c], *bs[c]);
             expectSameCounters(legacy_h.l1(c), engine_h.l1(c), c);
